@@ -38,8 +38,9 @@
 //! checksum 8  fp64 of every preceding byte
 //! ```
 //!
-//! Saves go to `<path>.tmp` and are renamed into place, so a crash
-//! mid-save leaves the previous checkpoint intact.
+//! Saves go through [`crate::durable::write_atomic`] (synced temp file,
+//! rename, synced directory), so a crash or power loss mid-save leaves
+//! the previous checkpoint intact.
 
 use std::path::Path;
 
@@ -407,19 +408,17 @@ pub(crate) fn decode(buf: &[u8]) -> Result<CheckpointData, CorruptReason> {
 // File I/O
 // ---------------------------------------------------------------------------
 
-/// Writes a checkpoint atomically (`<path>.tmp` then rename). Returns
-/// the degradation to record on failure; the engine keeps running.
+/// Writes a checkpoint through [`crate::durable::write_atomic`].
+/// Returns the degradation to record on failure; the engine keeps
+/// running.
 pub(crate) fn save(path: &Path, data: &CheckpointData) -> Result<(), ExploreWarning> {
     let bytes = encode(data);
-    let failed = |message: String| ExploreWarning::CheckpointSaveFailed {
-        path: path.to_path_buf(),
-        message,
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes).map_err(|e| failed(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| failed(e.to_string()))?;
+    crate::durable::write_atomic(path, &bytes).map_err(|e| {
+        ExploreWarning::CheckpointSaveFailed {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        }
+    })?;
     crate::counters::add(&crate::counters::CHECKPOINT_BYTES, bytes.len() as u64);
     Ok(())
 }

@@ -282,6 +282,8 @@ mod tests {
         assert_eq!(names[13], "serve_cache_evictions");
         assert_eq!(names[14], "spill_shards");
         assert_eq!(names[17], "spill_hits");
-        assert_eq!(names.len(), 18);
+        assert_eq!(names[18], "opt_cache_hits");
+        assert_eq!(names[20], "opt_programs");
+        assert_eq!(names.len(), 21);
     }
 }

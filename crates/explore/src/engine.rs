@@ -115,7 +115,7 @@ pub enum VisitedMode {
 /// Where and how often to checkpoint a durable run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointSpec {
-    /// Checkpoint file (written atomically via `<path>.tmp` + rename).
+    /// Checkpoint file (written through [`crate::durable::write_atomic`]).
     pub path: PathBuf,
     /// Save period. `None` saves only once, when the run stops;
     /// periodic saves additionally require `workers == 1` (a parallel

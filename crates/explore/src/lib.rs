@@ -25,6 +25,9 @@
 //! * [`SplitMix64`] — a dependency-free seeded PRNG for the random
 //!   walk strategy and the litmus program generator.
 //! * [`fp64`]/[`fp128`]/[`FxHasher`] — internal state fingerprinting.
+//! * [`durable`] — the one synced atomic-write path, quarantine, CRC
+//!   envelope and record cache behind every file the workspace trusts
+//!   on a later run.
 //!
 //! With the `fault-injection` feature, a deterministic [`FaultPlan`]
 //! can force panics, delays, and visited-set downgrades on a seeded
@@ -41,6 +44,7 @@
 
 mod checkpoint;
 pub mod counters;
+pub mod durable;
 pub mod engine;
 pub mod error;
 #[cfg(feature = "fault-injection")]

@@ -41,7 +41,10 @@
 //! checksum 8  fp64 of every preceding byte
 //! ```
 //!
-//! Writes go to a dot-prefixed temp file and are renamed into place.
+//! Writes go through [`crate::durable::write_atomic_unsynced`]
+//! (dot-prefixed temp file, rename, no syncs): a segment lost to a power
+//! failure fails its manifest check on resume and only costs
+//! re-exploration.
 //! Exact shards are fingerprinted to fp128 on spill (states carry no
 //! serialization contract), mirroring the checkpoint codec.
 
@@ -51,6 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::checkpoint::{put_path, put_u32, put_u64, Reader, SavedJob, LEVEL_FP128, LEVEL_FP64};
+use crate::durable::{write_atomic_unsynced, Quarantine};
 use crate::error::{CorruptReason, ExploreWarning};
 use crate::fingerprint::fp64;
 use crate::rng::mix64;
@@ -363,7 +367,7 @@ pub(crate) struct SpillCounters {
 /// taken *before* the corresponding segment-list mutex.
 pub(crate) struct SpillStore {
     dir: PathBuf,
-    quarantine_dir: PathBuf,
+    quarantine: Quarantine,
     digest: u64,
     trigger: usize,
     frontier_threshold: usize,
@@ -378,7 +382,6 @@ pub(crate) struct SpillStore {
     bytes_spilled: AtomicU64,
     probes: AtomicU64,
     hits: AtomicU64,
-    quarantined: AtomicU64,
     frontier_lost: AtomicU64,
     events: Mutex<Vec<ExploreWarning>>,
     #[cfg(feature = "fault-injection")]
@@ -397,7 +400,7 @@ impl SpillStore {
         fs::create_dir_all(&spec.dir)
             .map_err(|e| format!("cannot create spill dir {}: {e}", spec.dir.display()))?;
         Ok(SpillStore {
-            quarantine_dir: spec.dir.join("quarantine"),
+            quarantine: Quarantine::new(spec.dir.join("quarantine")),
             dir: spec.dir.clone(),
             digest,
             trigger,
@@ -415,7 +418,6 @@ impl SpillStore {
             bytes_spilled: AtomicU64::new(0),
             probes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
             frontier_lost: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
             #[cfg(feature = "fault-injection")]
@@ -452,35 +454,15 @@ impl SpillStore {
         }
     }
 
-    /// Moves a corrupt segment file into `<dir>/quarantine/` (keeping
-    /// its name, suffixing on collision; deleting as a last resort so
-    /// a permanently corrupt file is never re-ingested) and records
-    /// the event. The fingerprints it held are treated as unvisited —
-    /// sound, just slower.
+    /// Moves a corrupt segment file into `<dir>/quarantine/` and
+    /// records the event. The fingerprints it held are treated as
+    /// unvisited — sound, just slower.
     fn quarantine(&self, path: &Path, message: String) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
         self.push_event(ExploreWarning::SpillQuarantined {
             path: path.to_path_buf(),
             message,
         });
-        if fs::create_dir_all(&self.quarantine_dir).is_err() {
-            let _ = fs::remove_file(path);
-            return;
-        }
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("corrupt")
-            .to_string();
-        let mut dest = self.quarantine_dir.join(&name);
-        let mut n = 0u32;
-        while dest.exists() && n < 32 {
-            n += 1;
-            dest = self.quarantine_dir.join(format!("{name}.{n}"));
-        }
-        if fs::rename(path, &dest).is_err() {
-            let _ = fs::remove_file(path);
-        }
+        self.quarantine.take(path);
     }
 
     /// Writes `bytes` to `name` atomically, honoring injected disk
@@ -498,7 +480,6 @@ impl SpillStore {
         }
         let _ = widx;
         let path = self.dir.join(name);
-        let tmp = self.dir.join(format!(".{name}.tmp"));
         #[allow(unused_mut)]
         let mut to_write: &[u8] = bytes;
         #[cfg(feature = "fault-injection")]
@@ -509,8 +490,7 @@ impl SpillStore {
                 to_write = &bytes[..bytes.len() / 2];
             }
         }
-        if let Err(e) = fs::write(&tmp, to_write).and_then(|()| fs::rename(&tmp, &path)) {
-            let _ = fs::remove_file(&tmp);
+        if let Err(e) = write_atomic_unsynced(&path, to_write) {
             self.disable(format!("segment write failed: {e}"));
             return None;
         }
@@ -832,7 +812,7 @@ impl SpillStore {
                         path: self.dir.join("invalid-manifest-entry"),
                         message: "manifest entry rejected".to_string(),
                     });
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
+                    self.quarantine.note();
                     continue;
                 }
                 let path = self.dir.join(&entry.name);
@@ -871,20 +851,10 @@ impl SpillStore {
                         keep.push(&entry.name);
                     }
                     Err(message) => {
-                        warnings.push(ExploreWarning::SpillQuarantined {
-                            path: path.clone(),
-                            message: message.clone(),
-                        });
-                        self.quarantined.fetch_add(1, Ordering::Relaxed);
-                        if path.exists() {
-                            // Bypass push_event: the warning above
-                            // already reaches the caller directly.
-                            let _ = fs::create_dir_all(&self.quarantine_dir);
-                            let dest = self.quarantine_dir.join(&entry.name);
-                            if fs::rename(&path, &dest).is_err() {
-                                let _ = fs::remove_file(&path);
-                            }
-                        }
+                        // Bypass push_event: the warning reaches the
+                        // caller directly.
+                        self.quarantine.take(&path);
+                        warnings.push(ExploreWarning::SpillQuarantined { path, message });
                     }
                 }
             }
@@ -927,7 +897,7 @@ impl SpillStore {
             bytes: self.bytes_spilled.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
+            quarantined: self.quarantine.count(),
             frontier_lost: self.frontier_lost.load(Ordering::Relaxed),
         }
     }

@@ -10,8 +10,8 @@
 //! retries/quarantines *internal* faults per PR 2's fault model).
 //!
 //! Durability: campaign progress is checkpointed to a small text file
-//! (magic `SQFZ1`, trailing fingerprint checksum, atomic tmp+rename —
-//! the same shape as the exploration engine's checkpoints) so
+//! (magic `SQFZ1`, trailing fingerprint checksum, written through
+//! [`write_atomic`] like the exploration engine's checkpoints) so
 //! `--resume` continues an interrupted run without re-judging
 //! completed cases; the failure corpus on disk re-seeds fingerprint
 //! deduplication across runs.
@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use seqwm_explore::durable::write_atomic;
 use seqwm_explore::{fp64, mix64, SplitMix64};
 use seqwm_json::escape as json_string;
 use seqwm_litmus::gen::{random_context, random_program, GenConfig};
@@ -552,8 +553,8 @@ fn checkpoint_path(cfg: &FuzzConfig) -> PathBuf {
     cfg.corpus_dir.join("checkpoint.sqfz")
 }
 
-/// Serializes the resumable campaign state (atomic tmp+rename, with a
-/// trailing content checksum like the engine's checkpoints).
+/// Serializes the resumable campaign state through [`write_atomic`],
+/// with a trailing content checksum like the engine's checkpoints.
 fn save_checkpoint(cfg: &FuzzConfig, next_case: usize, fps: &BTreeSet<u64>) -> Result<(), String> {
     fs::create_dir_all(&cfg.corpus_dir).map_err(|e| e.to_string())?;
     let mut body = String::new();
@@ -565,13 +566,7 @@ fn save_checkpoint(cfg: &FuzzConfig, next_case: usize, fps: &BTreeSet<u64>) -> R
     let fp_list: Vec<String> = fps.iter().map(|fp| format!("{fp:016x}")).collect();
     body.push_str(&format!("fingerprints: {}\n", fp_list.join(",")));
     body.push_str(&format!("checksum: {:016x}\n", fp64(&body)));
-    let path = checkpoint_path(cfg);
-    let tmp = cfg
-        .corpus_dir
-        .join(format!(".checkpoint-{}.tmp", std::process::id()));
-    fs::write(&tmp, body).map_err(|e| e.to_string())?;
-    fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
-    Ok(())
+    write_atomic(&checkpoint_path(cfg), body.as_bytes()).map_err(|e| e.to_string())
 }
 
 /// Loads the checkpoint. `Ok(None)` means "no checkpoint" (fresh

@@ -14,6 +14,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use seqwm_explore::durable::write_atomic;
 use seqwm_explore::fp64;
 use seqwm_lang::parser::parse_program;
 use seqwm_lang::Program;
@@ -243,18 +244,12 @@ impl Corpus {
         &self.dir
     }
 
-    /// Persists a record (atomic write: temp file + rename). Returns
-    /// the record's path; saving an already-present fingerprint is a
-    /// no-op rewrite of identical content.
+    /// Persists a record through [`write_atomic`]. Returns the
+    /// record's path; saving an already-present fingerprint is a
+    /// rewrite of identical content.
     pub fn save(&self, record: &FailureRecord) -> io::Result<PathBuf> {
         let path = self.dir.join(record.file_name());
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{:016x}",
-            std::process::id(),
-            record.fingerprint()
-        ));
-        fs::write(&tmp, record.to_text())?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&path, record.to_text().as_bytes())?;
         Ok(path)
     }
 

@@ -55,16 +55,26 @@ fn join(a: &State, b: &State) -> State {
 /// The backward transfer function `TB` of Fig. 8b, applied *after* the
 /// statement's own rewriting decision.
 fn transfer_backward(s: &Stmt, state: &mut State) {
+    // Backward through an acquire: ◦ → •.
+    let acquire = |state: &mut State| {
+        for t in state.values_mut() {
+            *t = Token::Bullet;
+        }
+    };
+    // SEQ steps an RMW as its acquire read then its release write, but a
+    // composite fence as its release part then its acquire part
+    // (`RelFence`, then `Acq`). Backward, the later part comes first.
+    let fence = matches!(s, Stmt::Fence(_));
+    if fence && is_acquire(s) {
+        acquire(state);
+    }
     // Backward through a release: • → ⊤ (a release–acquire pair is
     // complete when moving further back).
     if is_release(s) {
         state.retain(|_, t| *t == Token::Circle);
     }
-    // Backward through an acquire: ◦ → •.
-    if is_acquire(s) {
-        for t in state.values_mut() {
-            *t = Token::Bullet;
-        }
+    if !fence && is_acquire(s) {
+        acquire(state);
     }
     match s {
         // A store to x: before it, x is definitely overwritten.
@@ -234,11 +244,17 @@ mod tests {
 
     #[test]
     fn release_acquire_pair_blocks() {
-        // A full release–acquire pair between the stores: not dead.
-        let (out, stats) =
-            run("store[na](d5x, 1); store[rel](d5y, 1); a := load[acq](d5z); store[na](d5x, 2);");
-        assert!(out.contains("store[na](d5x, 1);"), "{out}");
-        assert_eq!(stats.rewrites, 0);
+        // A full release–acquire pair between the stores: not dead. A
+        // fence that is both release and acquire is such a pair.
+        for pair in [
+            "store[rel](d5y, 1); a := load[acq](d5z);",
+            "fence[acqrel];",
+            "fence[sc];",
+        ] {
+            let (out, stats) = run(&format!("store[na](d5x, 1); {pair} store[na](d5x, 2);"));
+            assert!(out.contains("store[na](d5x, 1);"), "{pair}: {out}");
+            assert_eq!(stats.rewrites, 0, "{pair}");
+        }
     }
 
     #[test]

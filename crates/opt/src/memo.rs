@@ -3,91 +3,28 @@
 //!
 //! Discharging a PS^na obligation costs model-checker explorations;
 //! revalidating a source/target pair the validator has already judged
-//! should cost a hash lookup. Every entry is one file,
+//! should cost a hash lookup. [`ValidationCache`] is a typed wrapper
+//! over [`seqwm_explore::durable::RecordCache`], the same store the
+//! serve daemon's result cache uses: one file per entry,
 //! `{fp:016x}.json`, holding a versioned `{v, crc, payload}` envelope
-//! (the same convention as the serve daemon's persistent state — this
-//! crate sits below `seqwm-serve` in the dependency order, so the
-//! envelope is implemented here rather than imported). The payload
-//! stores the *full* key text alongside the verdict, so a fingerprint
-//! collision degrades to a miss instead of a wrong verdict.
+//! whose payload is `{"key", "ok", "info"}`. The *full* key text makes
+//! a fingerprint collision a miss instead of a wrong verdict. Writes
+//! report success only after the file and its directory are synced.
 //!
 //! Corrupt entries are never trusted and never deleted in place: they
 //! are moved into `quarantine/` (numbered on name collision) for
-//! post-mortem, exactly like the serve cache. Capacity pressure evicts
-//! the least-recently-used entry, file included. Both *validated* and
-//! *refuted* verdicts are cached — the determinism contract is that a
-//! cached verdict and a fresh one agree, whichever way they point.
+//! post-mortem. Capacity pressure evicts the least-recently-used entry,
+//! file included. Both *validated* and *refuted* verdicts are cached —
+//! the determinism contract is that a cached verdict and a fresh one
+//! agree, whichever way they point.
 
-use std::collections::HashMap;
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::path::PathBuf;
 
-use seqwm_explore::counters::{OPT_CACHE_HITS, OPT_CACHE_MISSES};
+use seqwm_explore::counters::{add, OPT_CACHE_HITS, OPT_CACHE_MISSES};
+pub use seqwm_explore::durable::CacheStats;
+use seqwm_explore::durable::{Quarantine, RecordCache};
 use seqwm_explore::fp64;
 use seqwm_json::Json;
-
-/// Envelope version for memo records.
-pub const MEMO_VERSION: u64 = 1;
-
-fn payload_crc(payload: &Json) -> String {
-    format!("{:016x}", fp64(&payload.to_string()))
-}
-
-/// Wraps a payload in the versioned, checksummed envelope.
-fn wrap(payload: &Json) -> Json {
-    Json::obj(vec![
-        ("v", Json::num(MEMO_VERSION)),
-        ("crc", Json::str(payload_crc(payload))),
-        ("payload", payload.clone()),
-    ])
-}
-
-/// Validates an envelope and returns its payload.
-fn unwrap(text: &str) -> Result<Json, String> {
-    let doc = Json::parse(text)?;
-    let v = doc
-        .get("v")
-        .and_then(|v| v.as_u64("v").ok())
-        .ok_or_else(|| "missing version field".to_string())?;
-    if v != MEMO_VERSION {
-        return Err(format!("unsupported memo version {v}"));
-    }
-    let recorded = doc
-        .get("crc")
-        .and_then(|c| c.as_str("crc").ok())
-        .ok_or_else(|| "missing crc field".to_string())?
-        .to_string();
-    let payload = doc
-        .get("payload")
-        .ok_or_else(|| "missing payload field".to_string())?;
-    let actual = payload_crc(payload);
-    if actual != recorded {
-        return Err(format!(
-            "checksum mismatch: recorded {recorded}, actual {actual}"
-        ));
-    }
-    Ok(payload.clone())
-}
-
-/// Atomically writes an enveloped payload (temp file + rename in the
-/// same directory). Best-effort: returns whether the write landed.
-fn write_record(path: &Path, payload: &Json) -> bool {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let stem = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("record");
-    let tmp = dir.join(format!(".{stem}-{}.tmp", std::process::id()));
-    let ok = fs::write(&tmp, wrap(payload).to_string())
-        .and_then(|()| fs::rename(&tmp, path))
-        .is_ok();
-    if !ok {
-        let _ = fs::remove_file(&tmp);
-    }
-    ok
-}
 
 /// A memoized validation verdict.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -99,37 +36,18 @@ pub struct CachedVerdict {
     pub info: String,
 }
 
-struct Entry {
-    key: String,
-    verdict: CachedVerdict,
-    last_used: u64,
-}
-
-/// Point-in-time cache accounting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CacheStats {
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to be discharged fresh.
-    pub misses: u64,
-    /// Entries evicted under capacity pressure.
-    pub evictions: u64,
-    /// Corrupt records moved to quarantine at open.
-    pub quarantined: u64,
+impl CachedVerdict {
+    fn decode(fields: &Json) -> Option<CachedVerdict> {
+        Some(CachedVerdict {
+            ok: fields.get("ok")?.as_bool("ok").ok()?,
+            info: fields.get("info")?.as_str("info").ok()?.to_string(),
+        })
+    }
 }
 
 /// The disk-backed validation memo cache.
 pub struct ValidationCache {
-    dir: PathBuf,
-    capacity: usize,
-    inner: Mutex<HashMap<u64, Entry>>,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    quarantined: AtomicU64,
+    records: RecordCache,
 }
 
 impl ValidationCache {
@@ -143,184 +61,48 @@ impl ValidationCache {
     /// Propagates directory-creation failure.
     pub fn open(dir: impl Into<PathBuf>, capacity: usize) -> std::io::Result<ValidationCache> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let cache = ValidationCache {
-            dir: dir.clone(),
-            capacity: capacity.max(1),
-            inner: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-        };
-        let mut names: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&dir)?.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(hex) = name.strip_suffix(".json") else {
-                continue;
-            };
-            let Ok(fp) = u64::from_str_radix(hex, 16) else {
-                continue;
-            };
-            names.push((fp, path));
-        }
-        names.sort();
-        {
-            let mut map = cache.lock();
-            for (fp, path) in names {
-                match fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| unwrap(&t))
-                    .and_then(|p| parse_payload(&p))
-                {
-                    Ok((key, verdict)) => {
-                        let tick = cache.clock.fetch_add(1, Ordering::Relaxed);
-                        map.insert(
-                            fp,
-                            Entry {
-                                key,
-                                verdict,
-                                last_used: tick,
-                            },
-                        );
-                    }
-                    Err(_) => {
-                        cache.quarantine(&path);
-                    }
-                }
-            }
-            while map.len() > cache.capacity {
-                cache.evict_one(&mut map);
-            }
-        }
-        Ok(cache)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
-        // A panic while holding the lock leaves plain data; recover.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn quarantine(&self, path: &Path) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-        let qdir = self.dir.join("quarantine");
-        if fs::create_dir_all(&qdir).is_err() {
-            let _ = fs::remove_file(path);
-            return;
-        }
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("corrupt")
-            .to_string();
-        let mut dest = qdir.join(&name);
-        let mut n = 0u32;
-        while dest.exists() && n < 32 {
-            n += 1;
-            dest = qdir.join(format!("{name}.{n}"));
-        }
-        if fs::rename(path, &dest).is_err() {
-            let _ = fs::remove_file(path);
-        }
-    }
-
-    fn entry_path(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("{fp:016x}.json"))
-    }
-
-    fn evict_one(&self, map: &mut HashMap<u64, Entry>) {
-        let Some(victim) = map
-            .iter()
-            .min_by_key(|(fp, e)| (e.last_used, **fp))
-            .map(|(fp, _)| *fp)
-        else {
-            return;
-        };
-        map.remove(&victim);
-        let _ = fs::remove_file(self.entry_path(victim));
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        let quarantine = Quarantine::new(dir.join("quarantine"));
+        let records = RecordCache::open(dir, capacity, quarantine, |f| {
+            CachedVerdict::decode(f).is_some()
+        })?;
+        Ok(ValidationCache { records })
     }
 
     /// Looks up a verdict by fingerprint, guarding against collisions
     /// with the full key. A hit refreshes recency.
     pub fn get(&self, fp: u64, key: &str) -> Option<CachedVerdict> {
-        let mut map = self.lock();
-        let hit = match map.get_mut(&fp) {
-            Some(e) if e.key == key => {
-                e.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                Some(e.verdict.clone())
-            }
-            _ => None,
-        };
-        drop(map);
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            OPT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            OPT_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        }
+        let hit = self
+            .records
+            .get(fp, key)
+            .and_then(|f| CachedVerdict::decode(&f));
+        add(
+            if hit.is_some() {
+                &OPT_CACHE_HITS
+            } else {
+                &OPT_CACHE_MISSES
+            },
+            1,
+        );
         hit
     }
 
     /// Records a verdict, persisting it and evicting under capacity
     /// pressure.
     pub fn put(&self, fp: u64, key: &str, verdict: &CachedVerdict) {
-        let payload = Json::obj(vec![
-            ("key", Json::str(key)),
-            ("ok", Json::Bool(verdict.ok)),
-            ("info", Json::str(verdict.info.clone())),
-        ]);
-        write_record(&self.entry_path(fp), &payload);
-        let mut map = self.lock();
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        map.insert(
+        self.records.put(
             fp,
-            Entry {
-                key: key.to_string(),
-                verdict: verdict.clone(),
-                last_used: tick,
-            },
+            key,
+            vec![
+                ("ok", Json::Bool(verdict.ok)),
+                ("info", Json::str(verdict.info.clone())),
+            ],
         );
-        while map.len() > self.capacity {
-            self.evict_one(&mut map);
-        }
     }
 
     /// Current accounting.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.lock().len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
+        self.records.stats()
     }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-}
-
-fn parse_payload(p: &Json) -> Result<(String, CachedVerdict), String> {
-    let key = p
-        .get("key")
-        .ok_or("missing key")?
-        .as_str("key")?
-        .to_string();
-    let ok = p.get("ok").ok_or("missing ok")?.as_bool("ok")?;
-    let info = p
-        .get("info")
-        .ok_or("missing info")?
-        .as_str("info")?
-        .to_string();
-    Ok((key, CachedVerdict { ok, info }))
 }
 
 /// The stable fingerprint of a full memo key: the envelope files are
@@ -333,6 +115,7 @@ pub fn key_fingerprint(key: &str) -> u64 {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("seqwm-opt-memo-{}-{tag}", std::process::id()));
@@ -348,72 +131,20 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_put_and_miss_before() {
+    fn verdicts_hit_survive_reopen_and_guard_collisions() {
         let dir = temp_dir("hit");
-        let cache = ValidationCache::open(&dir, 8).unwrap();
-        let fp = key_fingerprint("k1");
-        assert_eq!(cache.get(fp, "k1"), None);
-        cache.put(fp, "k1", &v(true, "simple"));
-        assert_eq!(cache.get(fp, "k1"), Some(v(true, "simple")));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn collision_with_different_key_is_a_miss() {
-        let dir = temp_dir("coll");
-        let cache = ValidationCache::open(&dir, 8).unwrap();
-        cache.put(7, "the-real-key", &v(true, "ps-na"));
-        assert_eq!(cache.get(7, "an-impostor"), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entries_survive_reopen() {
-        let dir = temp_dir("reopen");
         {
             let cache = ValidationCache::open(&dir, 8).unwrap();
+            assert_eq!(cache.get(1, "a"), None);
             cache.put(1, "a", &v(true, "advanced"));
             cache.put(2, "b", &v(false, "unmatched behavior"));
+            assert_eq!(cache.get(1, "a"), Some(v(true, "advanced")));
+            assert_eq!(cache.get(1, "an-impostor"), None);
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
         }
         let cache = ValidationCache::open(&dir, 8).unwrap();
-        assert_eq!(cache.get(1, "a"), Some(v(true, "advanced")));
         assert_eq!(cache.get(2, "b"), Some(v(false, "unmatched behavior")));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lru_eviction_removes_files_and_counts() {
-        let dir = temp_dir("lru");
-        let cache = ValidationCache::open(&dir, 2).unwrap();
-        cache.put(1, "a", &v(true, "simple"));
-        cache.put(2, "b", &v(true, "simple"));
-        assert!(cache.get(1, "a").is_some()); // refresh 1: victim is 2
-        cache.put(3, "c", &v(true, "simple"));
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(!cache.entry_path(2).exists());
-        assert!(cache.entry_path(1).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_shrinks_to_capacity() {
-        let dir = temp_dir("shrink");
-        {
-            let cache = ValidationCache::open(&dir, 8).unwrap();
-            for fp in 0..6u64 {
-                cache.put(fp, &format!("k{fp}"), &v(true, "simple"));
-            }
-        }
-        let cache = ValidationCache::open(&dir, 2).unwrap();
-        assert_eq!(cache.stats().entries, 2);
-        let remaining = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-            .count();
-        assert_eq!(remaining, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -425,30 +156,42 @@ mod tests {
             cache.put(1, "good", &v(true, "simple"));
             cache.put(2, "bad", &v(true, "simple"));
         }
-        // Flip the middle of record 2: the envelope parses but the CRC
-        // no longer matches.
+        // Flip record 2's payload: the envelope parses but the CRC no
+        // longer matches.
         let victim = dir.join(format!("{:016x}.json", 2u64));
-        let mut text = fs::read_to_string(&victim).unwrap();
-        text = text.replace("good", "go0d").replace("bad", "b4d");
-        fs::write(&victim, text).unwrap();
+        let text = fs::read_to_string(&victim).unwrap();
+        fs::write(&victim, text.replace("bad", "b4d")).unwrap();
         let cache = ValidationCache::open(&dir, 8).unwrap();
         assert_eq!(cache.stats().quarantined, 1);
         assert_eq!(cache.stats().entries, 1);
-        assert!(cache.get(key_fingerprint("x"), "x").is_none());
         assert!(!victim.exists());
         assert!(dir
             .join("quarantine")
-            .join(format!("{:016x}.json", 2u64))
+            .join(victim.file_name().unwrap())
             .exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A record exactly as earlier releases wrote it opens with no
+    /// quarantine and answers with the same verdict.
     #[test]
-    fn envelope_round_trips() {
-        let p = Json::obj(vec![("key", Json::str("k")), ("ok", Json::Bool(true))]);
-        let text = wrap(&p).to_string();
-        assert_eq!(unwrap(&text).unwrap(), p);
-        assert!(unwrap("not json").is_err());
-        assert!(unwrap("{\"v\": 99}").is_err());
+    fn records_in_the_existing_format_still_open() {
+        let dir = temp_dir("compat");
+        fs::create_dir_all(&dir).unwrap();
+        let record = r#"{"v":1,"crc":"4e4f8525cf6d35d5","payload":{"key":"v1;ob=seq;refine=RefineConfig { max_steps: 96, written_quant: EmptyAndFull, extra_values: [], max_fuel: None };ps=PsConfig { allow_promises: false, max_promises_per_thread: 1, promise_values: [Int(1)], na_race_markers: true, na_extra_values: [], na_multi_message: true, max_machine_steps: 64, max_cert_steps: 32, max_msgs_per_loc: 6, max_states: 20000, choose_domain: [0, 1] };deadline=Some(2s);probe=true;\n--contexts--\n\n--input--\nstore[na](x, 1);\na := load[na](x);\nreturn a;\n\n--output--\nstore[na](x, 1);\na := 1;\nreturn a;\n","ok":true,"info":"simple"}}"#;
+        let name = "26770981b20f0ad8.json";
+        fs::write(dir.join(name), record).unwrap();
+        let cache = ValidationCache::open(&dir, 8).unwrap();
+        assert_eq!((cache.stats().entries, cache.stats().quarantined), (1, 0));
+        let key = Json::parse(record).unwrap();
+        let key = key.get("payload").unwrap().get("key").unwrap();
+        let key = key.as_str("key").unwrap();
+        let fp = key_fingerprint(key);
+        assert_eq!(format!("{fp:016x}.json"), name);
+        assert_eq!(cache.get(fp, key), Some(v(true, "simple")));
+        // Rewriting the same verdict reproduces the file byte for byte.
+        cache.put(fp, key, &v(true, "simple"));
+        assert_eq!(fs::read_to_string(dir.join(name)).unwrap(), record);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

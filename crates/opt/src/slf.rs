@@ -80,10 +80,14 @@ pub(crate) fn is_acquire(s: &Stmt) -> bool {
 /// Applies the transfer function of Fig. 3 for an atomic (leaf) statement,
 /// *after* any rewriting of the statement itself.
 fn transfer(s: &Stmt, state: &mut State) {
-    // Order matters for RMWs (acquire then release): acquire first.
-    if is_acquire(s) {
-        // •(v) → ⊤ for every location.
-        state.retain(|_, t| matches!(t, Token::Circle(_)));
+    // •(v) → ⊤ for every location.
+    let acquire = |state: &mut State| state.retain(|_, t| matches!(t, Token::Circle(_)));
+    // Order matters: SEQ steps an RMW as its acquire read then its
+    // release write, but a composite fence as its release part then its
+    // acquire part (`RelFence`, then `Acq`).
+    let fence = matches!(s, Stmt::Fence(_));
+    if !fence && is_acquire(s) {
+        acquire(state);
     }
     if is_release(s) {
         // ◦(v) → •(v) for every location.
@@ -92,6 +96,9 @@ fn transfer(s: &Stmt, state: &mut State) {
                 *t = Token::Bullet(v);
             }
         }
+    }
+    if fence && is_acquire(s) {
+        acquire(state);
     }
     match s {
         Stmt::Store(x, WriteMode::Na, e) => {
@@ -233,14 +240,19 @@ mod tests {
 
     #[test]
     fn release_acquire_pair_blocks_forwarding() {
-        // Example 2.12: a release followed by an acquire invalidates.
-        let (out, stats) = run("store[na](s2x, 1);
-             store[rel](s2y, 1);
-             l := load[acq](s2z);
-             b := load[na](s2x);
-             return b;");
-        assert!(out.contains("b := load[na](s2x);"), "{out}");
-        assert_eq!(stats.rewrites, 0);
+        // Example 2.12: a release followed by an acquire invalidates. A
+        // fence that is both release and acquire is such a pair.
+        for pair in [
+            "store[rel](s2y, 1); l := load[acq](s2z);",
+            "fence[acqrel];",
+            "fence[sc];",
+        ] {
+            let (out, stats) = run(&format!(
+                "store[na](s2x, 1); {pair} b := load[na](s2x); return b;"
+            ));
+            assert!(out.contains("b := load[na](s2x);"), "{pair}: {out}");
+            assert_eq!(stats.rewrites, 0, "{pair}");
+        }
     }
 
     #[test]

@@ -504,6 +504,9 @@ mod tests {
             .unwrap();
         assert_eq!(slf.by, ValidatedBy::Simple);
         assert!(!slf.cached);
+        // Not across an acquire-release fence (a release–acquire pair).
+        let v = validate("store[na](x, 1); fence[acqrel]; a := load[na](x); return a;");
+        assert!(v.result.program.to_string().contains("a := load[na](x);"));
     }
 
     #[test]
@@ -520,6 +523,10 @@ mod tests {
             "Example 3.5: DSE across a release is invalidated by the simple \
              notion but validated by the advanced one"
         );
+        // An acquire-release fence completes a release–acquire pair:
+        // the first store stays and the stage validates.
+        let v = validate("store[na](x, 1); fence[acqrel]; store[na](x, 2); return 0;");
+        assert!(v.result.program.to_string().contains("store[na](x, 1);"));
     }
 
     #[test]

@@ -1,73 +1,32 @@
 //! The persistent result store: verdicts keyed by a canonical-text
 //! fingerprint so a repeat submission short-circuits to a cache hit.
 //!
-//! Layout: one JSON file per entry under `<state_dir>/cache/`, named
-//! by the 64-bit fingerprint of the canonical key. Each file records
-//! the full key text alongside the result, so a fingerprint collision
-//! degrades to a miss instead of serving the wrong verdict. Entries
-//! are written atomically through [`crate::state`]'s CRC-checked
-//! envelope and survive daemon restarts; an entry that fails
-//! validation on open — torn, truncated, bit-flipped — is quarantined
-//! and counted, never trusted and never fatal. An in-memory index
-//! fronts the directory, evicting least-recently-used entries (file
-//! included) beyond the configured capacity.
+//! A typed wrapper over [`seqwm_explore::durable::RecordCache`], the
+//! same store the optimizer's validation memo uses: one enveloped file
+//! per entry under `<state_dir>/cache/`, named by the 64-bit
+//! fingerprint of the canonical key, with payload `{"key", "result"}`.
+//! The full key makes a fingerprint collision a miss instead of a wrong
+//! verdict. Entries survive daemon restarts; one that fails validation
+//! on open — torn, truncated, bit-flipped — is quarantined and counted,
+//! never trusted and never fatal. Capacity pressure evicts the
+//! least-recently-used entry, file included.
 //!
 //! Hit/miss/eviction counts are kept both locally (for
 //! `server.stats`) and in the global perf counters
 //! ([`seqwm_explore::counters`]) so the bench harness sees cache
 //! traffic like any other subsystem's work.
 
-use std::collections::HashMap;
-use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use seqwm_explore::counters::{add, SERVE_CACHE_EVICTIONS, SERVE_CACHE_HITS, SERVE_CACHE_MISSES};
+pub use seqwm_explore::durable::CacheStats;
+use seqwm_explore::durable::{Quarantine, RecordCache};
 use seqwm_explore::fp64;
 use seqwm_json::Json;
 
-use crate::state::{self, Quarantine};
-
-/// One cached verdict.
-struct Entry {
-    /// The full canonical key (collision guard).
-    key: String,
-    /// The cached result object.
-    result: Json,
-    /// LRU clock value at last touch.
-    last_used: u64,
-}
-
-struct Inner {
-    entries: HashMap<u64, Entry>,
-    clock: u64,
-}
-
 /// A persistent, LRU-bounded result cache.
 pub struct ResultCache {
-    dir: PathBuf,
-    capacity: usize,
-    inner: Mutex<Inner>,
-    quarantine: Quarantine,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Point-in-time cache statistics for `server.stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to execution.
-    pub misses: u64,
-    /// Entries evicted under capacity pressure.
-    pub evictions: u64,
-    /// Corrupt entry files quarantined on open.
-    pub quarantined: u64,
-    /// Entries currently held.
-    pub entries: usize,
+    records: RecordCache,
 }
 
 impl ResultCache {
@@ -85,153 +44,44 @@ impl ResultCache {
         capacity: usize,
         quarantine_dir: impl Into<PathBuf>,
     ) -> Result<Self, String> {
-        let dir = dir.into();
         let quarantine = Quarantine::new(quarantine_dir);
-        fs::create_dir_all(&dir).map_err(|e| format!("cannot create cache dir: {e}"))?;
-        let mut entries = HashMap::new();
-        let listing = fs::read_dir(&dir).map_err(|e| format!("cannot scan cache dir: {e}"))?;
-        for item in listing.flatten() {
-            let name = item.file_name();
-            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
-                continue;
-            };
-            let Ok(fp) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            let payload = match state::read_record(&item.path()) {
-                Ok(p) => p,
-                Err(_) => {
-                    quarantine.take(&item.path());
-                    continue;
-                }
-            };
-            let valid = match (payload.get("key"), payload.get("result")) {
-                (Some(key), Some(result)) => key
-                    .as_str("key")
-                    .ok()
-                    .map(|k| (k.to_string(), result.clone())),
-                _ => None,
-            };
-            let Some((key, result)) = valid else {
-                quarantine.take(&item.path());
-                continue;
-            };
-            entries.insert(
-                fp,
-                Entry {
-                    key,
-                    result,
-                    last_used: 0,
-                },
-            );
-        }
-        let cache = ResultCache {
-            dir,
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner { entries, clock: 0 }),
-            quarantine,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        };
-        // A directory persisted by a larger-capacity daemon shrinks
-        // to fit on open.
-        {
-            let mut inner = cache.lock();
-            while inner.entries.len() > cache.capacity {
-                cache.evict_one(&mut inner);
-            }
-        }
-        Ok(cache)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn entry_path(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("{fp:016x}.json"))
+        let records = RecordCache::open(dir, capacity, quarantine, |f| f.get("result").is_some())
+            .map_err(|e| format!("cannot open cache dir: {e}"))?;
+        // A directory persisted by a larger-capacity daemon shrank to
+        // fit on open.
+        add(&SERVE_CACHE_EVICTIONS, records.stats().evictions);
+        Ok(ResultCache { records })
     }
 
     /// Looks up a canonical key. Counts a hit or a miss either way.
     pub fn get(&self, key: &str) -> Option<Json> {
-        let fp = fp64(&key);
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let found = match inner.entries.get_mut(&fp) {
-            Some(e) if e.key == key => {
-                e.last_used = clock;
-                Some(e.result.clone())
-            }
-            // Fingerprint collision or vacant: either way, a miss.
-            _ => None,
-        };
-        drop(inner);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            add(&SERVE_CACHE_HITS, 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            add(&SERVE_CACHE_MISSES, 1);
-        }
+        let found = self
+            .records
+            .get(fp64(key), key)
+            .and_then(|f| f.get("result").cloned());
+        add(
+            if found.is_some() {
+                &SERVE_CACHE_HITS
+            } else {
+                &SERVE_CACHE_MISSES
+            },
+            1,
+        );
         found
     }
 
     /// Inserts (or overwrites) a canonical key's result, persisting
     /// it to disk and evicting LRU entries beyond capacity.
     pub fn put(&self, key: &str, result: &Json) {
-        let fp = fp64(&key);
-        let doc = Json::Obj(vec![
-            ("key".to_string(), Json::str(key)),
-            ("result".to_string(), result.clone()),
-        ]);
-        // Cache persistence is best-effort: losing an entry only
-        // costs a future re-execution.
-        let _ = state::write_record(&self.entry_path(fp), &doc);
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.entries.insert(
-            fp,
-            Entry {
-                key: key.to_string(),
-                result: result.clone(),
-                last_used: clock,
-            },
-        );
-        while inner.entries.len() > self.capacity {
-            self.evict_one(&mut inner);
-        }
-    }
-
-    /// Removes the least-recently-used entry (index and file).
-    fn evict_one(&self, inner: &mut Inner) {
-        let Some((&victim, _)) = inner
-            .entries
-            .iter()
-            .min_by_key(|(fp, e)| (e.last_used, **fp))
-        else {
-            return;
-        };
-        inner.entries.remove(&victim);
-        let _ = fs::remove_file(self.entry_path(victim));
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        add(&SERVE_CACHE_EVICTIONS, 1);
+        let evicted = self
+            .records
+            .put(fp64(key), key, vec![("result", result.clone())]);
+        add(&SERVE_CACHE_EVICTIONS, evicted);
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantined: self.quarantine.count(),
-            entries: self.lock().entries.len(),
-        }
+        self.records.stats()
     }
 }
 
@@ -239,6 +89,7 @@ impl ResultCache {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("seqwm-serve-cache-{}-{tag}", std::process::id()))
@@ -249,111 +100,39 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_put_and_miss_before() {
+    fn hit_after_put_and_survives_reopen() {
         let dir = temp_dir("basic");
         let _ = fs::remove_dir_all(&dir);
+        {
+            let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
+            assert_eq!(cache.get("k1"), None);
+            cache.put("k1", &result(1));
+            assert_eq!(cache.get("k1"), Some(result(1)));
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        }
         let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-        assert_eq!(cache.get("k1"), None);
-        cache.put("k1", &result(1));
         assert_eq!(cache.get("k1"), Some(result(1)));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An entry exactly as earlier releases wrote it opens with no
+    /// quarantine and answers with the same result.
     #[test]
-    fn entries_survive_reopen() {
-        let dir = temp_dir("reopen");
+    fn entries_in_the_existing_format_still_open() {
+        let dir = temp_dir("compat");
         let _ = fs::remove_dir_all(&dir);
-        {
-            let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-            cache.put("persist-me", &result(42));
-        }
+        fs::create_dir_all(&dir).unwrap();
+        let entry = r#"{"v":1,"crc":"e4a43a75859ca5ca","payload":{"key":"refine|max_steps=None|model=None|src=store[na](x, 1);\nstore[na](x, 2);\nreturn 0;\n|tgt=store[na](x, 2);\nreturn 0;\n","result":{"verdict":"holds","method":"simple","configs":20,"behaviors":45}}}"#;
+        fs::write(dir.join("35fbedde1b812736.json"), entry).unwrap();
         let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-        assert_eq!(cache.get("persist-me"), Some(result(42)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lru_eviction_removes_files_and_counts() {
-        let dir = temp_dir("lru");
-        let _ = fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir, 2, dir.join("quarantine")).unwrap();
-        cache.put("a", &result(1));
-        cache.put("b", &result(2));
-        assert!(cache.get("a").is_some()); // a is now fresher than b
-        cache.put("c", &result(3)); // evicts b
-        assert_eq!(cache.get("b"), None);
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 2);
-        // Only two entry files remain on disk.
-        let files = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|f| f.file_name().to_str().is_some_and(|n| n.ends_with(".json")))
-            .count();
-        assert_eq!(files, 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reopen_shrinks_to_capacity() {
-        let dir = temp_dir("shrink");
-        let _ = fs::remove_dir_all(&dir);
-        {
-            let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-            for i in 0..6 {
-                cache.put(&format!("k{i}"), &result(i));
-            }
-        }
-        let cache = ResultCache::open(&dir, 3, dir.join("quarantine")).unwrap();
-        assert_eq!(cache.stats().entries, 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_entries_quarantine_on_open() {
-        let dir = temp_dir("corrupt");
-        let _ = fs::remove_dir_all(&dir);
-        {
-            let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-            for i in 0..4 {
-                cache.put(&format!("k{i}"), &result(i));
-            }
-        }
-        // Corrupt three of the four entry files three different ways:
-        // truncation, a flipped payload byte, and full erasure.
-        let mut files: Vec<PathBuf> = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|f| f.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "json"))
-            .collect();
-        files.sort();
-        assert_eq!(files.len(), 4);
-        let text = fs::read_to_string(&files[0]).unwrap();
-        fs::write(&files[0], &text[..text.len() / 2]).unwrap();
-        let text = fs::read_to_string(&files[1]).unwrap();
-        fs::write(&files[1], text.replace("answer", "Answer")).unwrap();
-        fs::write(&files[2], "").unwrap();
-
-        let cache = ResultCache::open(&dir, 8, dir.join("quarantine")).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.quarantined, 3);
-        assert_eq!(s.entries, 1);
-        let kept = fs::read_dir(dir.join("quarantine"))
-            .unwrap()
-            .flatten()
-            .count();
-        assert_eq!(kept, 3, "corrupt files preserved for inspection");
-        // The survivor still answers; the daemon never crashed.
-        let answered = (0..4)
-            .filter(|i| cache.get(&format!("k{i}")).is_some())
-            .count();
-        assert_eq!(answered, 1);
+        assert_eq!((cache.stats().entries, cache.stats().quarantined), (1, 0));
+        let key = "refine|max_steps=None|model=None|src=store[na](x, 1);\nstore[na](x, 2);\n\
+                   return 0;\n|tgt=store[na](x, 2);\nreturn 0;\n";
+        let expected =
+            Json::parse(r#"{"verdict":"holds","method":"simple","configs":20,"behaviors":45}"#)
+                .unwrap();
+        assert_eq!(cache.get(key), Some(expected));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,15 +10,17 @@
 //! engine's periodic checkpoint (`job-<id>.ckpt`) and resume the
 //! interrupted frontier instead of starting over.
 //!
-//! Journal entries are written through [`crate::state`]'s CRC-checked
-//! envelope; a torn or corrupted entry is quarantined on load instead
-//! of crashing the daemon or silently resurrecting a mangled job.
+//! Journal entries are written through [`seqwm_explore::durable`]'s
+//! CRC-checked envelope; a torn or corrupted entry is quarantined on
+//! load instead of crashing the daemon or silently resurrecting a
+//! mangled job.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+use seqwm_explore::durable::{self, Quarantine};
 use seqwm_json::Json;
 use seqwm_lang::parser::parse_program;
 use seqwm_lang::Program;
@@ -26,7 +28,6 @@ use seqwm_models::ModelChoice;
 use seqwm_opt::PassKind;
 
 use crate::proto::{codes, opt_bool, opt_str, opt_u64, req_str, RpcError};
-use crate::state::{self, Quarantine};
 
 /// What kind of work a job performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,7 +315,7 @@ pub fn checkpoint_path(jobs_dir: &Path, id: u64) -> PathBuf {
 /// Journal persistence is best-effort: a lost journal entry only
 /// costs restart recovery for that one job.
 pub fn persist(jobs_dir: &Path, rec: &JobRecord) {
-    let _ = state::write_record(&journal_path(jobs_dir, rec.id), &rec.journal_json());
+    let _ = durable::write_record(&journal_path(jobs_dir, rec.id), &rec.journal_json());
 }
 
 /// Loads every journaled job from a jobs directory, oldest id first.
@@ -332,7 +333,7 @@ pub fn load_journal(jobs_dir: &Path, quarantine: &Quarantine) -> Vec<JobRecord> 
         if !n.starts_with("job-") || !n.ends_with(".json") {
             continue;
         }
-        let payload = match state::read_record(&item.path()) {
+        let payload = match durable::read_record(&item.path()) {
             Ok(p) => p,
             Err(_) => {
                 quarantine.take(&item.path());
@@ -670,7 +671,7 @@ mod tests {
         fs::write(journal_path(&dir, 4), good.replace("refine", "rEfine")).unwrap();
         fs::write(
             journal_path(&dir, 5),
-            state::wrap(&Json::obj(vec![("not", Json::str("a job"))])).to_string(),
+            durable::wrap(&Json::obj(vec![("not", Json::str("a job"))])).to_string(),
         )
         .unwrap();
         let q = Quarantine::new(dir.join("quarantine"));
@@ -680,6 +681,29 @@ mod tests {
         assert_eq!(q.count(), 4);
         let kept = fs::read_dir(q.dir()).unwrap().flatten().count();
         assert_eq!(kept, 4, "corrupt files preserved for inspection");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A journal entry exactly as earlier releases wrote it loads with
+    /// no quarantine and the same result.
+    #[test]
+    fn journal_entries_in_the_existing_format_still_load() {
+        let dir = std::env::temp_dir().join(format!("seqwm-serve-compat-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let entry = r#"{"v":1,"crc":"6a9cf824767595ee","payload":{"id":1,"kind":"refine","params":{"src":"store[na](x, 1); store[na](x, 2); return 0;","tgt":"store[na](x, 2); return 0;","wait":true},"state":"done","cached":false,"recovered":false,"events":[{"type":"lifecycle","state":"queued"},{"type":"lifecycle","state":"running"},{"type":"lifecycle","state":"done"}],"result":{"verdict":"holds","method":"simple","configs":20,"behaviors":45}}}"#;
+        fs::write(journal_path(&dir, 1), entry).unwrap();
+        let q = Quarantine::new(dir.join("quarantine"));
+        let recs = load_journal(&dir, &q);
+        assert_eq!((recs.len(), q.count()), (1, 0));
+        assert_eq!(
+            (recs[0].id, recs[0].kind, recs[0].state),
+            (1, JobKind::Refine, JobState::Done)
+        );
+        let expected =
+            Json::parse(r#"{"verdict":"holds","method":"simple","configs":20,"behaviors":45}"#)
+                .unwrap();
+        assert_eq!(recs[0].result, Some(expected));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -32,7 +32,8 @@
 //! The daemon also defends itself: per-connection frame deadlines and
 //! size caps, a connection cap, admission control with
 //! `retry_after_ms` backpressure, graceful drain shutdown, and
-//! CRC-checked durable state with quarantine recovery ([`state`]).
+//! CRC-checked durable state with quarantine recovery
+//! ([`seqwm_explore::durable`]).
 //! The `chaos` feature adds a deterministic fault proxy ([`chaos`])
 //! for exercising all of it from the integration tests.
 
@@ -45,11 +46,10 @@ pub mod chaos;
 pub mod job;
 pub mod proto;
 pub mod server;
-pub mod state;
 
 pub use cache::{CacheStats, ResultCache};
 #[cfg(feature = "chaos")]
 pub use chaos::{corrupt_file, ChaosAction, ChaosPlan, ChaosProxy, FileChaos};
 pub use job::{JobBudgets, JobKind, JobRecord, JobState};
+pub use seqwm_explore::durable::{Quarantine, RecordError};
 pub use server::{ServeConfig, Server};
-pub use state::{Quarantine, RecordError};

@@ -35,6 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use seqwm_explore::counters::CounterSnapshot;
+use seqwm_explore::durable::Quarantine;
 use seqwm_explore::{CheckpointSpec, ExploreWarning, SpillSpec};
 use seqwm_fuzz::{run_campaign_with, CampaignEvent, FuzzConfig};
 use seqwm_json::Json;
@@ -55,7 +56,6 @@ use crate::proto::{
     codes, error_response, notification, opt_bool, opt_u64, parse_request, req_str, response,
     Request, RpcError,
 };
-use crate::state::Quarantine;
 
 /// How long blocked waits sleep between re-checking the stop flag.
 const WAIT_TICK: Duration = Duration::from_millis(100);
@@ -1100,6 +1100,14 @@ fn execute(core: &Arc<Core>, id: u64) {
 
     core.record_latency(job_started.elapsed());
 
+    // Terminal explore jobs never resume, so their spill shards (and
+    // any quarantined segments) are dead weight on disk. Removed before
+    // the terminal state is published, so a client that sees the job
+    // finish never sees its spill directory; a crash in between only
+    // makes the resumed job re-explore what the shards held.
+    if kind == JobKind::Explore {
+        let _ = fs::remove_dir_all(spill_dir(core, id));
+    }
     let mut table = core.lock_jobs();
     if let Some(rec) = table.records.get_mut(&id) {
         match outcome {
@@ -1120,11 +1128,6 @@ fn execute(core: &Arc<Core>, id: u64) {
         persist(&core.jobs_dir, rec);
     }
     drop(table);
-    // Terminal explore jobs never resume, so their spill shards (and
-    // any quarantined segments) are dead weight on disk.
-    if kind == JobKind::Explore {
-        let _ = fs::remove_dir_all(spill_dir(core, id));
-    }
     core.update_cv.notify_all();
 }
 
@@ -2271,9 +2274,11 @@ mod tests {
         // The straggler was canceled at the drain deadline; the
         // queued job is journaled as queued for the next start.
         let jobs_dir = dir.join("jobs");
-        let rec_a = crate::state::read_record(&crate::job::journal_path(&jobs_dir, 1)).unwrap();
+        let rec_a =
+            seqwm_explore::durable::read_record(&crate::job::journal_path(&jobs_dir, 1)).unwrap();
         assert_eq!(rec_a.get("state").unwrap(), &Json::str("canceled"));
-        let rec_b = crate::state::read_record(&crate::job::journal_path(&jobs_dir, b)).unwrap();
+        let rec_b =
+            seqwm_explore::durable::read_record(&crate::job::journal_path(&jobs_dir, b)).unwrap();
         assert_eq!(rec_b.get("state").unwrap(), &Json::str("queued"));
 
         // A restarted daemon recovers the queued job.

@@ -15,6 +15,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench (build + unit tests against the crates' public API)"
+# The repository benchmark is a cargo workspace of its own that calls
+# the crates by path; building it here makes a change to an API it uses
+# fail this gate instead of the benchmark run.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --features fault-injection (fault-tolerance differential)"
 cargo test -q --features fault-injection --test fault_injection
 cargo test -q --features fault-injection --test fuzz_smoke
